@@ -5,28 +5,36 @@
 //! [`maco_serve::Server`] runs — a [`maco_serve::Engine`] driving that
 //! machine's [`MacoSystem`] through the reentrant
 //! `begin_gemm`/`step_gemm` core API — and the cluster merges the
-//! machines' event streams: the global loop always processes the minimum
-//! of (next fault event, next unrouted fleet arrival, next re-placement,
-//! every machine's next event), breaking ties in exactly that order (so
-//! fault and routing state are current before any same-instant machine
-//! step). The machine minimum comes from a lazy-deletion min-heap of
-//! machine cursors `(time, machine)` re-keyed only for machines whose
-//! event stream actually changed (the one just advanced, the ones just
-//! routed to); a popped cursor is valid iff it still equals its machine's
-//! [`Engine::next_event`], so stale entries cost one O(log n) discard
-//! instead of a per-step fleet scan. Machines
-//! share no simulated hardware, so advancing one machine never perturbs
+//! machines' event streams with its own. The global loop merges exactly
+//! two sources:
+//!
+//! * the **router queue**, one [`maco_sim::EventQueue`] holding the fault
+//!   schedule, the next unrouted fleet arrival (only the next one: the
+//!   rest of the sorted stream waits outside the queue) and pending
+//!   re-placements, ordered by the queue's `(time, class, seq)` law with
+//!   class fault (0) < arrival (1) < re-placement (2) and FIFO within a
+//!   class;
+//! * the **machine cursors**, a lazy-deletion min-heap of `(time,
+//!   machine)` re-keyed only for machines whose event stream actually
+//!   changed (the one just advanced, the ones just routed to); a popped
+//!   cursor is valid iff it still equals its machine's
+//!   [`Engine::next_event`], so stale entries cost one O(log n) discard
+//!   instead of a per-step fleet scan.
+//!
+//! The router queue wins a tie with a machine cursor, so fault and
+//! routing state are current before any same-instant machine step.
+//! Machines share no simulated hardware, so advancing one machine never perturbs
 //! another; all cross-machine coupling flows through the interconnect
 //! cost model (migration transfers delay arrivals, k-split all-reduces
 //! delay completions) and through the router's load accounting, both of
 //! which are pure functions of previously processed events. That is what
 //! makes the fleet fingerprint byte-identical across same-seed runs.
 //!
-//! Multi-machine engines admit work at the *router's horizon*: a
-//! completion whose simulated time leaps past the next unrouted fleet
-//! arrival (or fault event, or pending re-placement) stops its
-//! queued-arrival drain there (see [`Engine::advance`]'s `bound`), so
-//! machine-local admission order always equals `(arrival, push order)`;
+//! Multi-machine engines admit work at the *router's horizon*, the router
+//! queue's next event time: a completion whose simulated time leaps past
+//! it stops its queued-arrival drain there (see [`Engine::advance`]'s
+//! `bound`), so machine-local admission order always equals `(arrival,
+//! push order)`;
 //! arrivals beyond the horizon are admitted later at their own event
 //! times, with the time-aware node pool keeping freed nodes invisible
 //! before their free instants. A one-machine fault-free cluster skips the
@@ -56,6 +64,11 @@
 //! *active* placement set against sliding arrival-rate and deadline-miss
 //! windows; draining a machine only stops new placements — queued work
 //! finishes where it is.
+//!
+//! Placement has one path: every policy picks among the *eligible*
+//! machines (alive and active). On a healthy fleet every machine is
+//! eligible and the restricted policy is the unrestricted one, so there is
+//! no separate full-fleet fast path.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
@@ -64,7 +77,7 @@ use maco_core::system::MacoSystem;
 use maco_noc::sfc::hilbert_order;
 use maco_noc::topology::MeshShape;
 use maco_serve::{validate_spec, Engine, JobOutcome, JobSpec, ServeReport, Tenant};
-use maco_sim::{FxHashMap, LatencyBandwidthResource, SimDuration, SimTime};
+use maco_sim::{EventQueue, FxHashMap, LatencyBandwidthResource, SimDuration, SimTime};
 use maco_telemetry::{Log2Histogram, TraceSink, ROUTER_TRACK, SCHED_ROW};
 use maco_workloads::trace::TraceRequest;
 
@@ -224,27 +237,25 @@ impl Cluster {
         // contract the equivalence tests pin) even at the contention
         // corners where a bounded arrival drain would reorder scheduling
         // attempts.
-        let mut cursor = 0usize;
-        let mut pending = VecDeque::from(specs);
+        let mut arrivals = specs.into_iter().enumerate();
         if machines == 1 && self.spec.faults.is_empty() && self.spec.autoscaler.is_none() {
-            while let Some(spec) = pending.pop_front() {
-                ep.route(&self.spec, &self.tenants, &mut engines, spec, cursor);
-                cursor += 1;
+            for (index, spec) in arrivals.by_ref() {
+                ep.route(&self.spec, &self.tenants, &mut engines, spec, index);
             }
         }
+        // The router queue holds only the *next* fleet arrival: the rest
+        // of the stream stays in the sorted spec list, so the queue stays
+        // small however long the trace.
+        if let Some((index, spec)) = arrivals.next() {
+            ep.schedule(spec.arrival, RouterEvent::Arrival(index, spec));
+        }
 
-        // The global event merge: process the minimum of (next fault
-        // event, next fleet arrival, next re-placement, every machine's
-        // next event), ties broken fault < arrival < re-placement <
-        // machine step so router state is current before any same-instant
-        // step — and so a recovery scheduled at the instant a deferred
-        // re-placement wakes is processed first (the deferral's
-        // termination argument). With no faults and no re-placements this
-        // reduces exactly to the fault-free arrival-vs-machine merge.
+        // The global event merge of two sources: the router queue (fault
+        // events, the next fleet arrival, re-placements, ordered by the
+        // queue's `(time, class, seq)` law) and the machine cursors. The
+        // router wins ties, so router state is current before any
+        // same-instant machine step.
         loop {
-            let fault = ep.faults.front().map(|f| f.at);
-            let arrival = pending.front().map(|s| s.arrival);
-            let reroute = ep.reroutes.peek().map(|Reverse(r)| r.at);
             let machine = loop {
                 match ep.cursors.peek() {
                     None => break None,
@@ -256,39 +267,33 @@ impl Cluster {
                     }
                 }
             };
-            let mt = machine.map(|(t, _)| t);
-            let le = |a: Option<SimTime>, b: Option<SimTime>| match (a, b) {
-                (Some(x), Some(y)) => x <= y,
-                (Some(_), None) => true,
-                (None, _) => false,
-            };
-            if fault.is_some() && le(fault, arrival) && le(fault, reroute) && le(fault, mt) {
-                let ev = ep.faults.pop_front().expect("peeked above");
-                match ev.kind {
-                    FaultEventKind::Fail(i) => ep.fail(
+            let router = ep.events.peek_time();
+            if router.is_some_and(|t| machine.is_none_or(|(mt, _)| t <= mt)) {
+                let (key, event) = ep.events.pop().expect("peeked above");
+                let at = key.time;
+                match event {
+                    RouterEvent::Fail(i) => ep.fail(
                         &self.spec,
                         &self.tenants,
                         &mut engines,
                         &mut self.systems,
                         i,
-                        ev.at,
+                        at,
                     ),
-                    FaultEventKind::Recover(i) => ep.recover(i, ev.at),
-                    FaultEventKind::DegradeStart(d) => ep.degrade(d, true, ev.at),
-                    FaultEventKind::DegradeEnd(d) => ep.degrade(d, false, ev.at),
+                    RouterEvent::Recover(i) => ep.recover(i, at),
+                    RouterEvent::DegradeStart(d) => ep.degrade(d, true, at),
+                    RouterEvent::DegradeEnd(d) => ep.degrade(d, false, at),
+                    RouterEvent::Arrival(index, spec) => {
+                        if let Some((next, next_spec)) = arrivals.next() {
+                            ep.schedule(next_spec.arrival, RouterEvent::Arrival(next, next_spec));
+                        }
+                        ep.route(&self.spec, &self.tenants, &mut engines, spec, index);
+                    }
+                    RouterEvent::Replace(r) => ep.replace(&self.spec, &mut engines, at, r),
                 }
-            } else if arrival.is_some() && le(arrival, reroute) && le(arrival, mt) {
-                let spec = pending.pop_front().expect("peeked above");
-                let index = cursor;
-                cursor += 1;
-                ep.route(&self.spec, &self.tenants, &mut engines, spec, index);
-            } else if reroute.is_some() && le(reroute, mt) {
-                let Reverse(r) = ep.reroutes.pop().expect("peeked above");
-                ep.replace(&self.spec, &mut engines, r);
             } else if let Some((_, i)) = machine {
                 ep.cursors.pop();
-                let horizon = [fault, arrival, reroute].into_iter().flatten().min();
-                if let Some(outcome) = engines[i].advance(&mut self.systems[i], horizon)? {
+                if let Some(outcome) = engines[i].advance(&mut self.systems[i], router)? {
                     ep.complete(i, outcome);
                 }
                 ep.rekey(&engines[i], i);
@@ -297,7 +302,6 @@ impl Cluster {
             }
         }
         debug_assert!(ep.reductions.is_empty(), "unfinished reductions");
-        debug_assert!(ep.reroutes.is_empty(), "unplaced re-routes");
 
         let mut retired = std::mem::take(&mut ep.retired);
         let machine_reports: Vec<MachineReport> = engines
@@ -448,9 +452,12 @@ struct Reduction {
     reduce_bytes: u64,
 }
 
-/// What kind of fault-schedule event fired.
-#[derive(Debug, Clone, Copy)]
-enum FaultEventKind {
+/// One event in the router queue. Its queue class ranks simultaneous
+/// events: fault events (0) before the next fleet arrival (1) before
+/// re-placements (2), so a fail-stop at an arrival's instant is seen by
+/// its routing, and a recovery at the instant a deferred re-placement
+/// wakes is processed first (the deferral's termination argument).
+enum RouterEvent {
     /// Machine fail-stop.
     Fail(usize),
     /// Machine recovery (fresh, cold incarnation rejoins the fleet).
@@ -459,23 +466,29 @@ enum FaultEventKind {
     DegradeStart(usize),
     /// Degradation window (by index into the spec) closes.
     DegradeEnd(usize),
+    /// The next fleet arrival: its position in the sorted stream and spec.
+    Arrival(usize, JobSpec),
+    /// A pending re-placement.
+    Replace(ReRoute),
 }
 
-/// One scheduled fault event on the global timeline. Built once from the
-/// [`crate::spec::FaultSpec`], stably sorted by time (spec order breaks
-/// ties) and drained front-to-back by the merge loop.
-struct FaultEvent {
-    at: SimTime,
-    kind: FaultEventKind,
+impl RouterEvent {
+    fn class(&self) -> u8 {
+        match self {
+            RouterEvent::Fail(_)
+            | RouterEvent::Recover(_)
+            | RouterEvent::DegradeStart(_)
+            | RouterEvent::DegradeEnd(_) => 0,
+            RouterEvent::Arrival(..) => 1,
+            RouterEvent::Replace(_) => 2,
+        }
+    }
 }
 
 /// A pending re-placement: an evicted remainder (or a deferred arrival
-/// that found no eligible machine) waiting for its effective re-arrival
-/// instant on the global timeline. Ordered by `(at, seq)` so equal-time
-/// re-placements keep eviction order.
+/// that found no eligible machine) waiting in the router queue for its
+/// effective re-arrival instant.
 struct ReRoute {
-    at: SimTime,
-    seq: u64,
     rec: usize,
     spec: JobSpec,
     /// `(source machine, wire bytes)` of the eviction state transfer
@@ -485,41 +498,22 @@ struct ReRoute {
     xfer: Option<(usize, u64)>,
 }
 
-impl PartialEq for ReRoute {
-    fn eq(&self, other: &Self) -> bool {
-        (self.at, self.seq) == (other.at, other.seq)
-    }
-}
-impl Eq for ReRoute {}
-impl PartialOrd for ReRoute {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for ReRoute {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at, self.seq).cmp(&(other.at, other.seq))
-    }
-}
-
 /// Per-machine mapping from the engine's admission-ordered job ids back
 /// to fleet record indices.
 ///
-/// Routed jobs enter the `pending` min-heap keyed `(effective arrival,
+/// Routed jobs enter the `pending` queue keyed `(effective arrival,
 /// route order)` — exactly the order the machine engine admits them in
 /// (its push contract guarantees no pushed arrival predates an admitted
-/// one, so heap order *is* admission order). Ranks are materialised
-/// lazily: when job `i` completes, the heap is drained up to slot `i`.
+/// one, so queue order *is* admission order). Ranks are materialised
+/// lazily: when job `i` completes, the queue is drained up to slot `i`.
 /// Every job with id ≤ `i` was already routed by then, and any later
 /// route keys strictly after the drained prefix, so the prefix is final —
-/// each slot costs one O(log n) heap pop instead of the old O(n)
-/// backward-scan sorted insert.
+/// each slot costs one O(log n) pop.
 #[derive(Default)]
 struct SlotMap {
-    /// Routed-but-not-ranked jobs: `(effective arrival, route seq, record)`.
-    pending: BinaryHeap<Reverse<(SimTime, u64, usize)>>,
-    /// Monotone route counter — the stable tiebreak for equal arrivals.
-    seq: u64,
+    /// Routed-but-not-ranked record indices, by `(effective arrival,
+    /// route order)`.
+    pending: EventQueue<usize>,
     /// Slot `i` = the machine engine's job `i`: `(effective arrival,
     /// record index)`.
     assigned: Vec<(SimTime, usize)>,
@@ -534,11 +528,11 @@ impl SlotMap {
     /// Panics if the engine reports a job that was never routed.
     fn resolve(&mut self, id: usize) -> (SimTime, usize) {
         while self.assigned.len() <= id {
-            let Reverse((at, _, rec)) = self
+            let (key, rec) = self
                 .pending
                 .pop()
                 .expect("engine completed a job that was never routed");
-            self.assigned.push((at, rec));
+            self.assigned.push((key.time, rec));
         }
         self.assigned[id]
     }
@@ -618,9 +612,11 @@ struct FleetEpisode {
     last_finish: SimTime,
     fingerprint: u64,
 
+    /// The router queue: unprocessed fault events, the next fleet
+    /// arrival and pending re-placements (see [`RouterEvent`]).
+    events: EventQueue<RouterEvent>,
+
     // ---- failure / elasticity state ----
-    /// Scheduled fault events, time-sorted, drained front-to-back.
-    faults: VecDeque<FaultEvent>,
     /// The spec's degradation windows (by index).
     degradations: Vec<DegradationWindow>,
     /// Which degradation windows are currently open.
@@ -634,14 +630,8 @@ struct FleetEpisode {
     /// Per machine: in the autoscaler's active placement set (all true
     /// without an autoscaler).
     active: Vec<bool>,
-    /// Every machine alive *and* active — the fast path that keeps
-    /// fault-free routing bit-identical to the pre-fault router.
-    full_fleet: bool,
     /// Per machine: serve reports of retired (failed) incarnations.
     retired: Vec<Vec<ServeReport>>,
-    /// Pending re-placements, ordered `(effective re-arrival, seq)`.
-    reroutes: BinaryHeap<Reverse<ReRoute>>,
-    reroute_seq: u64,
     /// Per machine: downtime intervals `(failed_at, recovered_at)`;
     /// `None` end = still down at episode end (clipped to makespan).
     downs: Vec<Vec<(SimTime, Option<SimTime>)>>,
@@ -674,42 +664,19 @@ struct FleetEpisode {
 }
 
 impl FleetEpisode {
-    /// Fresh episode state for one `run_jobs` call: compiles the fault
-    /// schedule into a time-sorted event queue and initialises the
-    /// autoscaler's active set (`min_machines` actives; the rest standby).
+    /// Fresh episode state for one `run_jobs` call: schedules the fault
+    /// spec into the router queue (spec order breaks equal times) and
+    /// initialises the autoscaler's active set (`min_machines` actives;
+    /// the rest standby).
     fn new(spec: &ClusterSpec, tenants: usize) -> Self {
         let machines = spec.machines.len();
-        let mut events: Vec<FaultEvent> = Vec::new();
-        for f in &spec.faults.machine_faults {
-            events.push(FaultEvent {
-                at: f.at,
-                kind: FaultEventKind::Fail(f.machine),
-            });
-            if let Some(r) = f.recover_at {
-                events.push(FaultEvent {
-                    at: r,
-                    kind: FaultEventKind::Recover(f.machine),
-                });
-            }
-        }
-        for (d, w) in spec.faults.degradations.iter().enumerate() {
-            events.push(FaultEvent {
-                at: w.from,
-                kind: FaultEventKind::DegradeStart(d),
-            });
-            events.push(FaultEvent {
-                at: w.until,
-                kind: FaultEventKind::DegradeEnd(d),
-            });
-        }
-        events.sort_by_key(|e| e.at);
         let (sfc_rank, sfc_order, grid_cols) = fleet_curve(machines);
         let scaler = spec.autoscaler;
         let active: Vec<bool> = (0..machines)
             .map(|m| scaler.is_none_or(|a| m < a.min_machines))
             .collect();
         let active_n = active.iter().filter(|&&a| a).count();
-        FleetEpisode {
+        let mut ep = FleetEpisode {
             icn: LatencyBandwidthResource::new(spec.interconnect.latency, spec.interconnect.gbps),
             outstanding: vec![0; machines],
             tenant_home: vec![None; tenants],
@@ -729,17 +696,14 @@ impl FleetEpisode {
             grid_cols,
             last_finish: SimTime::ZERO,
             fingerprint: 0,
-            faults: VecDeque::from(events),
+            events: EventQueue::new(),
             degradations: spec.faults.degradations.clone(),
             win_active: vec![false; spec.faults.degradations.len()],
             lat_mult: 1,
             bw_div: 1,
             alive: vec![true; machines],
-            full_fleet: active_n == machines,
             active,
             retired: vec![Vec::new(); machines],
-            reroutes: BinaryHeap::new(),
-            reroute_seq: 0,
             downs: vec![Vec::new(); machines],
             failures: 0,
             recoveries: 0,
@@ -757,7 +721,18 @@ impl FleetEpisode {
             diagnostics: ClusterDiagnostics::default(),
             fault_fp: 0,
             sink: TraceSink::off(),
+        };
+        for f in &spec.faults.machine_faults {
+            ep.schedule(f.at, RouterEvent::Fail(f.machine));
+            if let Some(r) = f.recover_at {
+                ep.schedule(r, RouterEvent::Recover(f.machine));
+            }
         }
+        for (d, w) in spec.faults.degradations.iter().enumerate() {
+            ep.schedule(w.from, RouterEvent::DegradeStart(d));
+            ep.schedule(w.until, RouterEvent::DegradeEnd(d));
+        }
+        ep
     }
 
     /// A machine can receive new placements iff it is alive and in the
@@ -770,17 +745,19 @@ impl FleetEpisode {
         (0..self.alive.len()).filter(|&m| self.eligible(m)).count()
     }
 
-    fn update_full_fleet(&mut self) {
-        self.full_fleet = (0..self.alive.len()).all(|m| self.eligible(m));
+    /// Queues a router event under its class.
+    fn schedule(&mut self, at: SimTime, event: RouterEvent) {
+        self.events.schedule(at, event.class(), event);
     }
 
     /// Earliest still-scheduled recovery — the wake instant for work that
     /// finds every machine dead.
     fn next_recovery(&self) -> Option<SimTime> {
-        self.faults.iter().find_map(|e| match e.kind {
-            FaultEventKind::Recover(_) => Some(e.at),
-            _ => None,
-        })
+        self.events
+            .iter()
+            .filter(|(_, e)| matches!(e, RouterEvent::Recover(_)))
+            .map(|(k, _)| k.time)
+            .min()
     }
 
     /// Appends a record and its (parallel) deadline entry.
@@ -913,7 +890,6 @@ impl FleetEpisode {
         self.downs[i].push((at, None));
         self.failures += 1;
         let was_active = self.active[i];
-        self.update_full_fleet();
 
         let evicted = engines[i].evict_all(at);
         let mspec = &cspec.machines[i];
@@ -962,14 +938,14 @@ impl FleetEpisode {
             self.fault_fp = fold_fingerprint(self.fault_fp, rec as u64);
             self.fault_fp = fold_fingerprint(self.fault_fp, ej.completed_layers as u64);
             self.fault_fp = fold_fingerprint(self.fault_fp, effective.as_fs());
-            self.reroutes.push(Reverse(ReRoute {
-                at: effective,
-                seq: self.reroute_seq,
-                rec,
-                spec: ej.spec,
-                xfer: Some((i, bytes)),
-            }));
-            self.reroute_seq += 1;
+            self.schedule(
+                effective,
+                RouterEvent::Replace(ReRoute {
+                    rec,
+                    spec: ej.spec,
+                    xfer: Some((i, bytes)),
+                }),
+            );
             latest = latest.max(effective);
         }
         self.recovery_latencies.push(latest.since(at));
@@ -983,7 +959,6 @@ impl FleetEpisode {
                 self.active[s] = true;
                 self.scale(at, true, s);
             }
-            self.update_full_fleet();
         }
     }
 
@@ -1014,7 +989,6 @@ impl FleetEpisode {
                 self.active[i] = false;
             }
         }
-        self.update_full_fleet();
     }
 
     /// Records one autoscaler action on machine `m` (activation or
@@ -1069,7 +1043,6 @@ impl FleetEpisode {
                 self.active[s] = true;
                 self.last_scale = Some(t);
                 self.scale(t, true, s);
-                self.update_full_fleet();
             }
         } else if active_n > a.min_machines as u64
             && misses == 0
@@ -1082,7 +1055,6 @@ impl FleetEpisode {
                 self.active[s] = false;
                 self.last_scale = Some(t);
                 self.scale(t, false, s);
-                self.update_full_fleet();
             }
         }
     }
@@ -1137,7 +1109,8 @@ impl FleetEpisode {
         // Every machine dead: defer to the next scheduled recovery (the
         // fault-first tie order guarantees the recovery is processed
         // before the deferred re-route at the same instant).
-        if !self.full_fleet && self.eligible_count() == 0 {
+        let eligible = self.eligible_count();
+        if eligible == 0 {
             let wake = self
                 .next_recovery()
                 .expect("every machine is dead with no scheduled recovery: the fleet cannot serve this arrival");
@@ -1167,34 +1140,25 @@ impl FleetEpisode {
                 index as u64,
                 job.tenant as u32,
             );
-            self.reroutes.push(Reverse(ReRoute {
-                at: wake,
-                seq: self.reroute_seq,
-                rec,
-                spec: job,
-                xfer: None,
-            }));
-            self.reroute_seq += 1;
+            self.schedule(
+                wake,
+                RouterEvent::Replace(ReRoute {
+                    rec,
+                    spec: job,
+                    xfer: None,
+                }),
+            );
             return;
         }
 
         // Data-parallel split: single-layer jobs above the threshold fan
         // out across the least-loaded eligible machines; whole DNN
         // streams always stay machine-affine.
-        let elig_n = if self.full_fleet {
-            machines
-        } else {
-            self.eligible_count()
-        };
-        let want_ways = spec.split.max_ways.min(elig_n);
+        let want_ways = spec.split.max_ways.min(eligible);
         if job.layers.len() == 1 && flops >= spec.split.min_flops && want_ways >= 2 {
             let split = split_job(&job, spec.split.kind, want_ways);
             if split.parts.len() >= 2 {
-                let mut order: Vec<usize> = if self.full_fleet {
-                    (0..machines).collect()
-                } else {
-                    (0..machines).filter(|&m| self.eligible(m)).collect()
-                };
+                let mut order: Vec<usize> = (0..machines).filter(|&m| self.eligible(m)).collect();
                 if spec.placement == Placement::SfcLocality {
                     // Curve-compact fan-out anchored on the tenant's home:
                     // the anchor stays `targets[0]` (so the home does not
@@ -1367,26 +1331,19 @@ impl FleetEpisode {
     /// eligible machine. With none eligible it re-defers to the next
     /// scheduled recovery (state transfer was already charged at
     /// eviction — deferral costs waiting, not bytes).
-    fn replace(&mut self, spec: &ClusterSpec, engines: &mut [Engine], r: ReRoute) {
+    fn replace(&mut self, spec: &ClusterSpec, engines: &mut [Engine], at: SimTime, r: ReRoute) {
         if self.eligible_count() == 0 {
             let wake = self
                 .next_recovery()
                 .expect("every machine is dead with no scheduled recovery: evicted work cannot be re-placed");
-            self.reroutes.push(Reverse(ReRoute {
-                at: wake.max(r.at),
-                seq: self.reroute_seq,
-                rec: r.rec,
-                spec: r.spec,
-                xfer: r.xfer,
-            }));
-            self.reroute_seq += 1;
+            self.schedule(wake.max(at), RouterEvent::Replace(r));
             return;
         }
         let machines = engines.len();
         let m = self.place(spec.placement, machines, r.spec.tenant);
         if spec.placement == Placement::SfcLocality {
             self.sink
-                .instant("place/sfc", ROUTER_TRACK, 0, r.at, r.rec as u64, m as u32);
+                .instant("place/sfc", ROUTER_TRACK, 0, at, r.rec as u64, m as u32);
         }
         // The eviction's wire bytes were charged at fail(); now that the
         // destination is known, weight them by the links crossed and
@@ -1397,9 +1354,8 @@ impl FleetEpisode {
         }
         self.tenant_home[r.spec.tenant] = Some(m);
         self.outstanding[m] += r.spec.flops();
-        self.push_slot(m, r.at, r.rec);
+        self.push_slot(m, at, r.rec);
         let rec = r.rec;
-        let at = r.at;
         engines[m].push(JobSpec {
             arrival: at,
             ..r.spec
@@ -1437,55 +1393,10 @@ impl FleetEpisode {
         }
     }
 
-    /// The machine-affine placement decision. A full fleet takes the
-    /// exact pre-fault path (bit-identical decisions); otherwise the
-    /// same policies run restricted to the eligible machines.
+    /// The machine-affine placement decision, restricted to the eligible
+    /// machines (on a fleet where every machine is eligible this is the
+    /// unrestricted policy).
     fn place(&mut self, placement: Placement, machines: usize, tenant: usize) -> usize {
-        if self.full_fleet {
-            return match placement {
-                Placement::RoundRobin => {
-                    let m = self.rr % machines;
-                    self.rr += 1;
-                    m
-                }
-                Placement::LeastLoaded => (0..machines)
-                    .min_by_key(|&m| (self.outstanding[m], m))
-                    .expect("at least one machine"),
-                Placement::TenantAffinity { spill } => {
-                    let home = self.tenant_home[tenant].unwrap_or(tenant % machines);
-                    let total: u64 = self.outstanding.iter().sum();
-                    // Spill when the home's load exceeds `spill`× the fleet
-                    // average: home·machines > spill·total, cross-multiplied
-                    // so the comparison stays in integers.
-                    let overloaded = total > 0
-                        && (self.outstanding[home] as u128 * machines as u128)
-                            > (spill as u128 * total as u128);
-                    if overloaded {
-                        (0..machines)
-                            .min_by_key(|&m| (self.outstanding[m], m))
-                            .expect("at least one machine")
-                    } else {
-                        home
-                    }
-                }
-                Placement::SfcLocality => {
-                    let home = self.sfc_home(tenant, machines);
-                    if self.sfc_overloaded(home, machines) {
-                        // Spill along the curve: the nearest other machine
-                        // (by curve distance, then load) keeps the
-                        // tenant's traffic mesh-compact.
-                        (0..machines)
-                            .filter(|&m| m != home)
-                            .min_by_key(|&m| (self.curve_dist(m, home), self.outstanding[m], m))
-                            .unwrap_or(home)
-                    } else {
-                        home
-                    }
-                }
-            };
-        }
-        let n_elig = self.eligible_count();
-        debug_assert!(n_elig > 0, "place() with no eligible machines");
         let least_eligible = |ep: &Self| {
             (0..machines)
                 .filter(|&m| ep.eligible(m))
@@ -1494,7 +1405,7 @@ impl FleetEpisode {
         };
         match placement {
             Placement::RoundRobin => {
-                let k = self.rr % n_elig;
+                let k = self.rr % self.eligible_count();
                 self.rr += 1;
                 (0..machines)
                     .filter(|&m| self.eligible(m))
@@ -1508,6 +1419,9 @@ impl FleetEpisode {
                     return least_eligible(self);
                 }
                 let total: u64 = self.outstanding.iter().sum();
+                // Spill when the home's load exceeds `spill`× the fleet
+                // average: home·machines > spill·total, cross-multiplied
+                // so the comparison stays in integers.
                 let overloaded = total > 0
                     && (self.outstanding[home] as u128 * machines as u128)
                         > (spill as u128 * total as u128);
@@ -1528,6 +1442,9 @@ impl FleetEpisode {
                         .expect("at least one eligible machine");
                 }
                 if self.sfc_overloaded(home, machines) {
+                    // Spill along the curve: the nearest other machine (by
+                    // curve distance, then load) keeps the tenant's
+                    // traffic mesh-compact.
                     (0..machines)
                         .filter(|&m| self.eligible(m) && m != home)
                         .min_by_key(|&m| (self.curve_dist(m, home), self.outstanding[m], m))
@@ -1554,9 +1471,7 @@ impl FleetEpisode {
     /// already-admitted arrival, so the slot map's rank `i` is the
     /// engine's job `i` by the time it can complete.
     fn push_slot(&mut self, machine: usize, at: SimTime, record: usize) {
-        let slot = &mut self.slots[machine];
-        slot.pending.push(Reverse((at, slot.seq, record)));
-        slot.seq += 1;
+        self.slots[machine].pending.schedule(at, 0, record);
     }
 
     /// Processes one machine-level job completion: load accounting, split
@@ -1667,10 +1582,9 @@ mod tests {
     #[test]
     fn slot_map_resolves_in_arrival_then_route_order() {
         let mut sm = SlotMap::default();
-        sm.pending.push(Reverse((t(5), 0, 10)));
-        sm.pending.push(Reverse((t(1), 1, 11)));
-        sm.pending.push(Reverse((t(5), 2, 12)));
-        sm.seq = 3;
+        sm.pending.schedule(t(5), 0, 10);
+        sm.pending.schedule(t(1), 0, 11);
+        sm.pending.schedule(t(5), 0, 12);
         // Rank 0 is the earliest arrival; equal arrivals rank by route
         // order. Out-of-order resolution still lands on the same ranks.
         assert_eq!(sm.resolve(2), (t(5), 12));

@@ -5,7 +5,7 @@ use std::fmt;
 
 use maco_serve::ServeReport;
 use maco_sim::{SimDuration, SimTime, Stats};
-use maco_telemetry::Log2Histogram;
+use maco_telemetry::{escape_json, Log2Histogram};
 
 use crate::spec::SplitKind;
 
@@ -439,10 +439,11 @@ impl ClusterReport {
                 s.push_str(", ");
             }
             let h = self.tenant_latency_hist(t);
+            s.push_str("{\"name\": \"");
+            escape_json(&self.machines[0].serve.tenants[t].name, &mut s);
             s.push_str(&format!(
-                "{{\"name\": \"{}\", \"completed\": {}, \"latency_p50_ns\": {}, \
+                "\", \"completed\": {}, \"latency_p50_ns\": {}, \
                  \"latency_p95_ns\": {}, \"latency_p99_ns\": {}}}",
-                self.machines[0].serve.tenants[t].name,
                 self.machines
                     .iter()
                     .map(|m| m.serve.tenants[t].completed)

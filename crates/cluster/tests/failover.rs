@@ -22,7 +22,9 @@
 //! * **elasticity** — the autoscaler grows under a burst, shrinks when
 //!   the window drains, and never scales below `min_machines`; an
 //!   interconnect degradation window makes every charged transfer
-//!   strictly slower.
+//!   strictly slower;
+//! * **tie law** — simultaneous router events process fault before
+//!   arrival before re-placement.
 
 use proptest::prelude::*;
 
@@ -35,6 +37,7 @@ use maco_core::system::{MacoSystem, SystemConfig};
 use maco_isa::Precision;
 use maco_serve::{JobSpec, Policy, ServeConfig, Server, Tenant};
 use maco_sim::{SimDuration, SimTime};
+use maco_telemetry::TraceSink;
 
 /// The serve suite's synthetic job generator, shape for shape, so failure
 /// episodes replay the same inputs the healthy property suite pins.
@@ -508,4 +511,125 @@ fn degradation_window_slows_state_transfer() {
     );
     assert_eq!(d.fault.jobs_lost, 0);
     assert_eq!(d.diagnostics.outstanding_clamps, 0);
+}
+
+/// One 64³ job of `tenant` arriving at `at`.
+fn light_job(tenant: usize, at: SimTime) -> JobSpec {
+    JobSpec {
+        tenant,
+        layers: vec![GemmPlusTask::gemm(64, 64, 64, Precision::Fp32)],
+        arrival: at,
+        priority: 0,
+        deadline: None,
+        gang_width: 1,
+    }
+}
+
+/// Tie law, fault before arrival: a fail-stop at the exact instant of an
+/// arrival is processed first, so the arrival is routed around the dead
+/// machine instead of landing on it and being evicted at once.
+#[test]
+fn fail_stop_at_an_arrival_instant_routes_around_the_dead_machine() {
+    let at = SimTime::ZERO + SimDuration::from_us(5);
+    // Least-loaded on an idle fleet picks machine 0 unless it is dead.
+    let spec = ClusterSpec::uniform(2, 2)
+        .with_placement(Placement::LeastLoaded)
+        .with_faults(FaultSpec::none().with_failure(0, at, None));
+    let mut fleet = Cluster::new(spec, Tenant::fleet(1));
+    let r = fleet
+        .run_jobs(vec![light_job(0, at)])
+        .expect("episode completes");
+    assert_eq!(r.jobs_completed, 1);
+    assert_eq!(r.jobs[0].machines.as_slice(), &[1]);
+    assert_eq!(r.jobs[0].requeues, 0, "never placed on the dead machine");
+    assert_eq!(r.fault.jobs_replaced, 0);
+    assert_eq!(r.jobs[0].effective_arrival, at);
+}
+
+/// Tie law, recovery before re-placement: an arrival deferred by a total
+/// outage wakes at the first scheduled recovery; that recovery is
+/// processed first at the same instant, so the job lands on the recovered
+/// machine right then.
+#[test]
+fn recovery_at_a_deferred_arrivals_wake_is_processed_first() {
+    let down = SimTime::ZERO + SimDuration::from_us(1);
+    let up = SimTime::ZERO + SimDuration::from_us(9);
+    let spec = ClusterSpec::uniform(2, 2)
+        .with_placement(Placement::LeastLoaded)
+        .with_faults(
+            FaultSpec::none()
+                .with_failure(0, down, None)
+                .with_failure(1, down, Some(up)),
+        );
+    let sink = TraceSink::on();
+    let mut fleet = Cluster::new(spec, Tenant::fleet(1));
+    fleet.set_trace_sink(sink.clone());
+    let arrival = SimTime::ZERO + SimDuration::from_us(5);
+    let r = fleet
+        .run_jobs(vec![light_job(0, arrival)])
+        .expect("episode completes");
+    assert_eq!(r.jobs_completed, 1);
+    assert_eq!(r.fault.jobs_lost, 0);
+    assert_eq!(r.jobs[0].effective_arrival, up, "placed at the recovery");
+    assert_eq!(
+        r.jobs[0].machines.as_slice(),
+        &[1],
+        "on the recovered machine"
+    );
+    let trace = sink.drain().expect("sink is on");
+    let at = |name: &str| {
+        trace
+            .records
+            .iter()
+            .position(|rec| rec.name == name)
+            .unwrap_or_else(|| panic!("no {name} record"))
+    };
+    assert!(
+        at("fault/recover") < at("replace"),
+        "the recovery must be processed before the re-placement"
+    );
+    assert_eq!(trace.records[at("replace")].start, up);
+}
+
+/// Tie law, arrival before re-placement: an arrival at the very instant
+/// an evicted remainder re-arrives is routed first. Least-loaded with two
+/// idle survivors sends the first-processed job to machine 1 and the
+/// second to machine 2.
+#[test]
+fn arrival_at_a_replacement_instant_is_routed_first() {
+    let heavy = one_heavy_job(3);
+    let base = ClusterSpec::uniform(3, 2).with_placement(Placement::LeastLoaded);
+    let mut healthy = Cluster::new(base.clone(), Tenant::fleet(2));
+    let h = healthy.run_jobs(heavy.clone()).expect("healthy completes");
+    let kill = SimTime::ZERO + SimDuration::from_fs(h.makespan.as_fs() / 2);
+    let spec = base.with_faults(FaultSpec::none().with_failure(0, kill, None));
+
+    // The eviction alone fixes the re-placement instant.
+    let mut probe = Cluster::new(spec.clone(), Tenant::fleet(2));
+    let p = probe.run_jobs(heavy.clone()).expect("probe completes");
+    assert_eq!(
+        p.fault.jobs_replaced, 1,
+        "the heavy job is caught in flight"
+    );
+    let replace_at = kill + p.fault.recovery_latency_max;
+    assert!(replace_at > kill, "the state transfer takes time");
+
+    let mut specs = heavy;
+    specs.push(light_job(1, replace_at));
+    let mut fleet = Cluster::new(spec, Tenant::fleet(2));
+    let r = fleet.run_jobs(specs).expect("episode completes");
+    assert_eq!(r.jobs_completed, 2);
+    assert_eq!(r.fault.jobs_replaced, 1);
+    assert_eq!(r.fault.recovery_latency_max, p.fault.recovery_latency_max);
+    assert_eq!(r.jobs[1].effective_arrival, replace_at);
+    assert_eq!(
+        r.jobs[1].machines.as_slice(),
+        &[1],
+        "the arrival went first"
+    );
+    assert_eq!(
+        r.jobs[0].machines.as_slice(),
+        &[0, 2],
+        "the re-placement second"
+    );
 }

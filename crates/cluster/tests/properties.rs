@@ -19,7 +19,7 @@ use proptest::prelude::*;
 use maco_cluster::{split, Cluster, ClusterSpec, Placement, SplitKind, SplitSpec};
 use maco_core::gemm_plus::{partition_depth, GemmPlusTask};
 use maco_core::system::{MacoSystem, SystemConfig};
-use maco_isa::Precision;
+use maco_isa::{Asid, Precision};
 use maco_mmae::kernels::GemmOperands;
 use maco_serve::{JobSpec, Policy, ServeConfig, Server, Tenant};
 use maco_sim::{SimDuration, SimTime, SplitMix64};
@@ -408,4 +408,28 @@ fn preflight_ignores_inadmissible_jobs() {
     assert_eq!(report.jobs_rejected, 4);
     assert_eq!(report.diagnostics.outstanding_clamps, 0);
     assert_eq!(report.fault.jobs_lost, 0);
+}
+
+/// `ClusterReport::to_json` escapes tenant names — a quote, a backslash
+/// and a newline come out as JSON escapes — while a plain name is written
+/// exactly as before.
+#[test]
+fn report_json_escapes_tenant_names() {
+    let tenants = vec![
+        Tenant::new("plain", Asid::new(100)),
+        Tenant::new("a\"b\\c\nd", Asid::new(101)),
+    ];
+    let mut cluster = Cluster::new(ClusterSpec::uniform(1, 2), tenants);
+    let job = JobSpec::single(
+        0,
+        GemmPlusTask::gemm(32, 32, 32, Precision::Fp32),
+        SimTime::ZERO,
+    );
+    let json = cluster
+        .run_jobs(vec![job])
+        .expect("episode completes")
+        .to_json();
+    assert!(json.contains("{\"name\": \"plain\", \"completed\": 1, \"latency_p50_ns\": "));
+    assert!(json.contains("{\"name\": \"a\\\"b\\\\c\\u000ad\", \"completed\": 0, "));
+    assert!(!json.contains('\n'), "raw control character in {json}");
 }

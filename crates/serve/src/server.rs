@@ -25,31 +25,27 @@
 //! arrival < wake < task-step on equal times, realised as three sources
 //! merged by an explicit tie-break:
 //!
-//! * **arrivals** — a binary min-heap keyed `(arrival, push seq)`, so
-//!   equal arrival times pop in push order (exactly the order the old
-//!   sorted-insert `VecDeque` produced — which is why schedule
-//!   fingerprints survived the rebuild bit for bit);
+//! * **arrivals** — a [`maco_sim::EventQueue`] keyed `(arrival, push
+//!   seq)`, so equal arrival times pop in push order;
 //! * **wake** — a single armed instant (at most one retry is ever
 //!   pending), kept as an `Option<SimTime>`;
-//! * **task steps** — a binary min-heap of in-flight gang members keyed
-//!   `(task.now(), dispatch seq)`. A task's key only changes while it is
-//!   *outside* the heap (pop → step batch → reinsert), so no decrease-key
-//!   operation is needed and a plain binary heap suffices.
+//! * **task steps** — a second [`maco_sim::EventQueue`] of in-flight gang
+//!   members keyed `(task.now(), dispatch seq)`. A task's key only changes
+//!   while it is *outside* the queue (pop → step batch →
+//!   [reinsert](maco_sim::EventQueue::reinsert) under its dispatch seq),
+//!   so no decrease-key operation is needed.
 //!
 //! Per-event cost is therefore O(log n) in the number of pending arrivals
 //! plus in-flight members — flat enough to stream 10⁵-request traces (the
 //! `serve_throughput_100k` perf scenario) with near-linear wall clock in
 //! trace length.
 
-use std::cmp::{Ordering, Reverse};
-use std::collections::BinaryHeap;
-
 use maco_core::gemm_plus::partition_shapes_into;
 use maco_core::group::NodePool;
 use maco_core::system::{InFlightGemm, MacoSystem, TaskAdmitError};
 use maco_core::TranslateFault;
 use maco_sim::time::FS_PER_NS;
-use maco_sim::{SimDuration, SimTime};
+use maco_sim::{EventQueue, SimDuration, SimTime};
 use maco_telemetry::{Log2Histogram, TraceSink, SCHED_ROW};
 
 use crate::job::{validate_spec, AdmissionError, JobId, JobQueue, JobSpec, Tenant};
@@ -209,44 +205,10 @@ impl Server {
     }
 }
 
-/// One pushed-but-not-admitted arrival in the pending heap, ordered by
-/// `(arrival, push seq)` so equal arrival times pop in push order — the
-/// same stable order the pre-heap sorted-insert stream produced.
-struct PendingArrival {
-    at: SimTime,
-    seq: u64,
-    spec: JobSpec,
-}
-
-impl PartialEq for PendingArrival {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-
-impl Eq for PendingArrival {}
-
-impl PartialOrd for PendingArrival {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for PendingArrival {
-    fn cmp(&self, other: &Self) -> Ordering {
-        (self.at, self.seq).cmp(&(other.at, other.seq))
-    }
-}
-
-/// One gang member's task in flight, ordered by `(task.now(), seq)` — the
-/// deterministic step order. A member's key is only mutated while it is
-/// outside the heap (popped, step-batched, reinserted), so heap order
-/// stays consistent without a decrease-key operation.
+/// One gang member's task in flight, queued at `task.now()`; its queue seq
+/// is the dispatch order, the deterministic tiebreak for equal step times.
 struct ActiveTask {
     task: InFlightGemm,
-    /// Global dispatch sequence number — the deterministic tiebreak for
-    /// equal event times.
-    seq: u64,
     job: usize,
     layer: usize,
     /// When this layer was dispatched (folded into the fingerprint).
@@ -254,32 +216,6 @@ struct ActiveTask {
     /// CPU epilogue time extending past the member's GEMM (the Fig. 5(c)
     /// non-overlappable tail, or the whole epilogue without overlap).
     epilogue_tail: SimDuration,
-}
-
-impl ActiveTask {
-    fn key(&self) -> (SimTime, u64) {
-        (self.task.now(), self.seq)
-    }
-}
-
-impl PartialEq for ActiveTask {
-    fn eq(&self, other: &Self) -> bool {
-        self.key() == other.key()
-    }
-}
-
-impl Eq for ActiveTask {}
-
-impl PartialOrd for ActiveTask {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for ActiveTask {
-    fn cmp(&self, other: &Self) -> Ordering {
-        self.key().cmp(&other.key())
-    }
 }
 
 /// Per-job episode state.
@@ -358,8 +294,8 @@ pub struct EvictedJob {
 /// monolithic loop.
 ///
 /// Internally the engine is the O(log n) event core described in the
-/// [module docs](crate::server): a pending-arrival heap, a single armed
-/// wake instant and an in-flight member heap, merged in
+/// [module docs](crate::server): a pending-arrival queue, a single armed
+/// wake instant and an in-flight member queue, merged in
 /// arrival < wake < task-step order on equal times.
 ///
 /// ```
@@ -390,11 +326,8 @@ pub struct EvictedJob {
 pub struct Engine {
     tenants: Vec<Tenant>,
     config: ServeConfig,
-    /// Pending job stream (not yet submitted): min-heap on
-    /// `(arrival, push seq)`.
-    arrivals: BinaryHeap<Reverse<PendingArrival>>,
-    /// Monotone push counter — the stable tiebreak for equal arrivals.
-    push_seq: u64,
+    /// Pending job stream (not yet submitted), in `(arrival, push order)`.
+    arrivals: EventQueue<JobSpec>,
     /// Latest arrival time already admitted from the pending stream; the
     /// floor the [`Engine::push`] contract is checked against.
     arrival_floor: SimTime,
@@ -402,8 +335,8 @@ pub struct Engine {
     pool: NodePool,
     queue: JobQueue,
     jobs: Vec<Job>,
-    /// In-flight gang members: min-heap on `(task.now(), dispatch seq)`.
-    active: BinaryHeap<Reverse<ActiveTask>>,
+    /// In-flight gang members, in `(task.now(), dispatch order)`.
+    active: EventQueue<ActiveTask>,
     served: Vec<u64>,
     stats: Vec<TenantReport>,
     leases: Vec<NodeLease>,
@@ -416,7 +349,6 @@ pub struct Engine {
     /// Reusable gang-partition shape buffer (no per-layer allocation).
     shape_buf: Vec<(u64, u64, u64)>,
     fingerprint: u64,
-    seq: u64,
     last_finish: SimTime,
     jobs_completed: u64,
     jobs_rejected: u64,
@@ -464,13 +396,12 @@ impl Engine {
             weights: tenants.iter().map(|t| t.weight).collect(),
             tenants: tenants.to_vec(),
             config: config.clone(),
-            arrivals: BinaryHeap::new(),
-            push_seq: 0,
+            arrivals: EventQueue::new(),
             arrival_floor: SimTime::ZERO,
             pool: NodePool::new(nodes),
             queue: JobQueue::new(config.queue_capacity),
             jobs: Vec::new(),
-            active: BinaryHeap::new(),
+            active: EventQueue::new(),
             served: vec![0; tenants.len()],
             stats,
             leases: Vec::new(),
@@ -478,7 +409,6 @@ impl Engine {
             cand_buf: Vec::new(),
             shape_buf: Vec::new(),
             fingerprint: 0,
-            seq: 0,
             last_finish: SimTime::ZERO,
             jobs_completed: 0,
             jobs_rejected: 0,
@@ -517,20 +447,15 @@ impl Engine {
             spec.arrival.as_fs(),
             self.arrival_floor.as_fs(),
         );
-        self.arrivals.push(Reverse(PendingArrival {
-            at: spec.arrival,
-            seq: self.push_seq,
-            spec,
-        }));
-        self.push_seq += 1;
+        self.arrivals.schedule(spec.arrival, 0, spec);
     }
 
     /// The engine's next event time: the earliest of the next pending
     /// arrival, the armed scheduler wake-up and the minimum in-flight task
     /// step. `None` when the episode has fully drained.
     pub fn next_event(&self) -> Option<SimTime> {
-        let task = self.active.peek().map(|Reverse(a)| a.task.now());
-        let arrival = self.arrivals.peek().map(|Reverse(p)| p.at);
+        let task = self.active.peek_time();
+        let arrival = self.arrivals.peek_time();
         [task, arrival, self.wake].into_iter().flatten().min()
     }
 
@@ -565,14 +490,13 @@ impl Engine {
         system: &mut MacoSystem,
         bound: Option<SimTime>,
     ) -> Result<Option<JobOutcome>, ServeError> {
-        let task_key = self.active.peek().map(|Reverse(a)| a.key());
-        let arrival = self.arrivals.peek().map(|Reverse(p)| p.at);
+        let task_time = self.active.peek_time();
+        let arrival = self.arrivals.peek_time();
         let wake = self.wake;
         assert!(
-            task_key.is_some() || arrival.is_some() || wake.is_some(),
+            task_time.is_some() || arrival.is_some() || wake.is_some(),
             "advance called on a drained engine"
         );
-        let task_time = task_key.map(|(t, _)| t);
         // Tie order is arrival, then wake, then task step, so admission
         // and scheduling state are current before any same-instant
         // stepping decision.
@@ -580,35 +504,33 @@ impl Engine {
             .is_some_and(|at| task_time.is_none_or(|tt| at <= tt) && wake.is_none_or(|w| at <= w));
         let wake_first = !arrival_first && wake.is_some_and(|w| task_time.is_none_or(|tt| w <= tt));
         if arrival_first {
-            let Reverse(pending) = self.arrivals.pop().expect("arrival_first");
-            let at = pending.at;
-            self.arrival_floor = at;
-            self.submit(pending.spec);
-            self.try_schedule(system, at)?;
+            let (key, spec) = self.arrivals.pop().expect("arrival_first");
+            self.arrival_floor = key.time;
+            self.submit(spec);
+            self.try_schedule(system, key.time)?;
         } else if wake_first {
             let at = wake.expect("wake_first implies a wake");
             self.wake = None;
             self.try_schedule(system, at)?;
         } else {
-            let Reverse(mut entry) = self
+            let (mut key, mut entry) = self
                 .active
                 .pop()
                 .expect("no arrival or wake, so a task exists");
             // Batch contiguous steps of the minimal task while it stays at
             // or below every other event — the same exact-equivalence
             // batching the closed-loop runner uses, bounded additionally
-            // by the next arrival, the wake and the external horizon. The
-            // heap's new minimum is exactly the old linear scan's
-            // runner-up.
-            let runner_up = self.active.peek().map(|Reverse(a)| a.key());
+            // by the next arrival, the wake, the external horizon and the
+            // runner-up task's full key.
+            let runner_up = self.active.peek().map(|(k, _)| k);
             let completed = loop {
                 if system.step_gemm(&mut entry.task)?.is_some() {
                     break true;
                 }
-                let key = (entry.task.now(), entry.seq);
-                if arrival.is_some_and(|at| key.0 >= at)
-                    || wake.is_some_and(|w| key.0 >= w)
-                    || bound.is_some_and(|b| key.0 >= b)
+                key.time = entry.task.now();
+                if arrival.is_some_and(|at| key.time >= at)
+                    || wake.is_some_and(|w| key.time >= w)
+                    || bound.is_some_and(|b| key.time >= b)
                     || runner_up.is_some_and(|r| key > r)
                 {
                     break false;
@@ -617,7 +539,7 @@ impl Engine {
             if completed {
                 return self.member_done(system, entry, bound);
             }
-            self.active.push(Reverse(entry));
+            self.active.reinsert(key, entry);
         }
         Ok(None)
     }
@@ -734,18 +656,18 @@ impl Engine {
             });
         }
         let mut next_id = self.jobs.len() as u64;
-        while let Some(Reverse(pending)) = self.arrivals.pop() {
+        while let Some((_, spec)) = self.arrivals.pop() {
             self.sink.instant(
                 "job/evict",
                 self.track,
                 SCHED_ROW,
                 now,
                 next_id,
-                pending.spec.tenant as u32,
+                spec.tenant as u32,
             );
             evicted.push(EvictedJob {
                 id: JobId(next_id),
-                spec: pending.spec,
+                spec,
                 completed_layers: 0,
                 was_running: false,
                 admitted: false,
@@ -866,12 +788,11 @@ impl Engine {
         bound: Option<SimTime>,
     ) -> Result<(), ServeError> {
         let cut = bound.map_or(upto, |b| upto.min(b));
-        while self.arrivals.peek().is_some_and(|Reverse(p)| p.at <= cut) {
-            let Reverse(pending) = self.arrivals.pop().expect("peeked above");
-            let at = pending.at;
-            self.arrival_floor = at;
-            self.submit(pending.spec);
-            self.try_schedule(system, at)?;
+        while self.arrivals.peek_time().is_some_and(|at| at <= cut) {
+            let (key, spec) = self.arrivals.pop().expect("peeked above");
+            self.arrival_floor = key.time;
+            self.submit(spec);
+            self.try_schedule(system, key.time)?;
         }
         Ok(())
     }
@@ -993,15 +914,17 @@ impl Engine {
                 }
                 None => SimDuration::ZERO,
             };
-            self.active.push(Reverse(ActiveTask {
-                task,
-                seq: self.seq,
-                job: ji,
-                layer: self.jobs[ji].layer,
-                layer_start: at,
-                epilogue_tail,
-            }));
-            self.seq += 1;
+            self.active.schedule(
+                task.now(),
+                0,
+                ActiveTask {
+                    task,
+                    job: ji,
+                    layer: self.jobs[ji].layer,
+                    layer_start: at,
+                    epilogue_tail,
+                },
+            );
         }
         self.jobs[ji].members_left = parts;
         self.jobs[ji].layer_end = at;

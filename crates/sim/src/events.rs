@@ -1,21 +1,38 @@
 //! Deterministic event queue.
 //!
 //! A thin wrapper around [`std::collections::BinaryHeap`] that orders events
-//! by `(time, insertion sequence)`. The sequence number guarantees FIFO
-//! ordering among simultaneous events, which keeps the whole simulator
-//! deterministic: two runs with identical inputs replay identical event
-//! interleavings.
+//! by the key `(time, class, seq)`: earliest time first, then the lower
+//! event class, then the insertion sequence. The class lets an embedder rank
+//! simultaneous events of different kinds (the fleet router processes
+//! faults before arrivals before re-placements); the sequence number makes
+//! equal `(time, class)` events pop FIFO. Together they keep the whole
+//! simulator deterministic: two runs with identical inputs replay identical
+//! event interleavings.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use crate::time::SimTime;
 
-/// A deterministic time-ordered event queue.
+/// The total order of an [`EventQueue`]: time, then class, then insertion
+/// sequence (field order is comparison order).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct EventKey {
+    /// Firing instant.
+    pub time: SimTime,
+    /// Rank among simultaneous events; lower classes pop first.
+    pub class: u8,
+    /// Insertion sequence assigned by [`EventQueue::schedule`]; FIFO among
+    /// equal `(time, class)`.
+    pub seq: u64,
+}
+
+/// A deterministic event queue ordered by [`EventKey`].
 ///
-/// The payload type `E` is chosen by the system embedding the kernel (for
-/// MACO this is `maco_core::system::SystemEvent`), keeping the kernel free of
-/// dynamic dispatch.
+/// The payload type `E` is chosen by the embedding layer (the serving
+/// engine queues job specs and in-flight gang members, the fleet router a
+/// small enum of fault, arrival and re-placement events), keeping the
+/// kernel free of dynamic dispatch.
 ///
 /// # Example
 ///
@@ -23,9 +40,11 @@ use crate::time::SimTime;
 /// use maco_sim::{EventQueue, SimTime};
 ///
 /// let mut q = EventQueue::new();
-/// q.schedule(maco_sim::SimDuration::from_ns(2).into(), "late");
-/// q.schedule(SimTime::ZERO, "early");
-/// assert_eq!(q.pop().map(|(_, e)| e), Some("early"));
+/// q.schedule(maco_sim::SimDuration::from_ns(2).into(), 0, "late");
+/// q.schedule(SimTime::ZERO, 1, "early, low rank");
+/// q.schedule(SimTime::ZERO, 0, "early, high rank");
+/// assert_eq!(q.pop().map(|(_, e)| e), Some("early, high rank"));
+/// assert_eq!(q.pop().map(|(_, e)| e), Some("early, low rank"));
 /// assert_eq!(q.pop().map(|(_, e)| e), Some("late"));
 /// assert!(q.pop().is_none());
 /// ```
@@ -38,14 +57,13 @@ pub struct EventQueue<E> {
 
 #[derive(Debug, Clone)]
 struct Entry<E> {
-    time: SimTime,
-    seq: u64,
+    key: EventKey,
     event: E,
 }
 
 impl<E> PartialEq for Entry<E> {
     fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
+        self.key == other.key
     }
 }
 impl<E> Eq for Entry<E> {}
@@ -56,7 +74,7 @@ impl<E> PartialOrd for Entry<E> {
 }
 impl<E> Ord for Entry<E> {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.time.cmp(&other.time).then(self.seq.cmp(&other.seq))
+        self.key.cmp(&other.key)
     }
 }
 
@@ -70,24 +88,54 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Schedules `event` to fire at absolute instant `time`.
-    pub fn schedule(&mut self, time: SimTime, event: E) {
-        let seq = self.seq;
+    /// Schedules `event` of rank `class` to fire at absolute instant
+    /// `time`, behind every event already scheduled with the same
+    /// `(time, class)`.
+    pub fn schedule(&mut self, time: SimTime, class: u8, event: E) {
+        let key = EventKey {
+            time,
+            class,
+            seq: self.seq,
+        };
         self.seq += 1;
-        self.heap.push(Reverse(Entry { time, seq, event }));
+        self.heap.push(Reverse(Entry { key, event }));
     }
 
-    /// Removes and returns the earliest event, FIFO among ties.
-    pub fn pop(&mut self) -> Option<(SimTime, E)> {
+    /// Puts a popped event back under its original class and sequence
+    /// number, at `key.time` (which may have moved since the pop). An event
+    /// stepped outside the queue thereby keeps its place among ties — the
+    /// serving engine re-inserts a gang member after batch-stepping it.
+    pub fn reinsert(&mut self, key: EventKey, event: E) {
+        debug_assert!(key.seq < self.seq, "reinsert of a key never scheduled");
+        self.heap.push(Reverse(Entry { key, event }));
+    }
+
+    /// Removes and returns the minimum event with its key.
+    pub fn pop(&mut self) -> Option<(EventKey, E)> {
         self.heap.pop().map(|Reverse(e)| {
             self.popped += 1;
-            (e.time, e.event)
+            (e.key, e.event)
         })
+    }
+
+    /// The minimum event and its key, without removing it.
+    pub fn peek(&self) -> Option<(EventKey, &E)> {
+        self.heap.peek().map(|Reverse(e)| (e.key, &e.event))
     }
 
     /// The firing time of the next event without removing it.
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|Reverse(e)| e.time)
+        self.heap.peek().map(|Reverse(e)| e.key.time)
+    }
+
+    /// Every pending event with its key, in no particular order.
+    pub fn iter(&self) -> impl Iterator<Item = (EventKey, &E)> {
+        self.heap.iter().map(|Reverse(e)| (e.key, &e.event))
+    }
+
+    /// Drops every pending event (the sequence counter keeps counting).
+    pub fn clear(&mut self) {
+        self.heap.clear();
     }
 
     /// Number of pending events.
@@ -126,14 +174,28 @@ mod tests {
     use super::*;
     use crate::time::SimDuration;
 
+    fn drain<E>(q: &mut EventQueue<E>) -> Vec<E> {
+        std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect()
+    }
+
+    /// Time orders first, class second, schedule order last.
     #[test]
     fn orders_by_time() {
-        let mut q = EventQueue::new();
-        q.schedule(SimTime::from_ns(30), 3);
-        q.schedule(SimTime::from_ns(10), 1);
-        q.schedule(SimTime::from_ns(20), 2);
-        let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
-        assert_eq!(order, vec![1, 2, 3]);
+        let order = |events: &[(u64, u8)]| {
+            let mut q = EventQueue::new();
+            for (i, &(ns, class)) in events.iter().enumerate() {
+                q.schedule(SimTime::from_ns(ns), class, i);
+            }
+            drain(&mut q)
+        };
+        // Time only.
+        assert_eq!(order(&[(30, 0), (10, 0), (20, 0)]), [1, 2, 0]);
+        // Class breaks equal times, whatever the schedule order.
+        assert_eq!(order(&[(5, 2), (5, 0), (5, 1)]), [1, 2, 0]);
+        // An earlier time beats a lower class.
+        assert_eq!(order(&[(6, 0), (5, 2)]), [1, 0]);
+        // Equal (time, class) keeps schedule order.
+        assert_eq!(order(&[(5, 1), (5, 1), (4, 1), (5, 1)]), [2, 0, 1, 3]);
     }
 
     #[test]
@@ -141,35 +203,65 @@ mod tests {
         let mut q = EventQueue::new();
         let t = SimTime::from_ns(5);
         for i in 0..100 {
-            q.schedule(t, i);
+            q.schedule(t, 0, i);
         }
-        let order: Vec<i32> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
-        assert_eq!(order, (0..100).collect::<Vec<_>>());
+        assert_eq!(drain(&mut q), (0..100).collect::<Vec<_>>());
     }
 
     #[test]
     fn peek_does_not_consume() {
         let mut q = EventQueue::new();
-        q.schedule(SimTime::from_ns(1), ());
+        q.schedule(SimTime::from_ns(1), 3, ());
+        let key = EventKey {
+            time: SimTime::from_ns(1),
+            class: 3,
+            seq: 0,
+        };
+        assert_eq!(q.peek(), Some((key, &())));
         assert_eq!(q.peek_time(), Some(SimTime::from_ns(1)));
+        assert_eq!(q.iter().collect::<Vec<_>>(), [(key, &())]);
         assert_eq!(q.len(), 1);
         assert!(!q.is_empty());
         q.pop();
         assert!(q.is_empty());
         assert_eq!(q.events_processed(), 1);
+        // Clearing drops pending events but never reuses a seq.
+        q.schedule(SimTime::from_ns(2), 0, ());
+        q.clear();
+        assert!(q.is_empty());
+        q.schedule(SimTime::from_ns(3), 0, ());
+        assert_eq!(q.peek().map(|(k, _)| k.seq), Some(2));
     }
 
     #[test]
     fn interleaved_schedule_and_pop_stays_ordered() {
         let mut q = EventQueue::new();
-        q.schedule(SimTime::from_ns(10), "a");
-        q.schedule(SimTime::from_ns(5), "b");
-        let (t, e) = q.pop().unwrap();
-        assert_eq!((t, e), (SimTime::from_ns(5), "b"));
+        q.schedule(SimTime::from_ns(10), 0, "a");
+        q.schedule(SimTime::from_ns(5), 0, "b");
+        let (key, e) = q.pop().unwrap();
+        assert_eq!((key.time, e), (SimTime::from_ns(5), "b"));
         // Schedule an event earlier than the pending one.
-        q.schedule(SimTime::from_ns(7), "c");
+        q.schedule(SimTime::from_ns(7), 0, "c");
         assert_eq!(q.pop().unwrap().1, "c");
         assert_eq!(q.pop().unwrap().1, "a");
+    }
+
+    /// A re-inserted event keeps its original seq: moved to a tie with a
+    /// later-scheduled event, it still pops first.
+    #[test]
+    fn reinsert_keeps_the_original_seq() {
+        let mut q = EventQueue::new();
+        q.schedule(SimTime::from_ns(1), 0, "stepped");
+        q.schedule(SimTime::from_ns(4), 0, "waiting");
+        let (key, e) = q.pop().unwrap();
+        q.reinsert(
+            EventKey {
+                time: SimTime::from_ns(4),
+                ..key
+            },
+            e,
+        );
+        assert_eq!(drain(&mut q), ["stepped", "waiting"]);
     }
 
     #[test]

@@ -10,8 +10,9 @@
 //! * [`SimTime`] / [`SimDuration`] — picosecond-resolution simulated time.
 //! * [`ClockDomain`] — cycle↔time conversion for the paper's three clock
 //!   domains (CPU 2.2 GHz, MMAE 2.5 GHz, NoC 2.0 GHz).
-//! * [`EventQueue`] — a deterministic priority queue of typed events with
-//!   FIFO tie-breaking, so identical runs produce identical traces.
+//! * [`EventQueue`] — a deterministic priority queue of typed events keyed
+//!   `(time, class, seq)` ([`EventKey`]): ties break by event class, then
+//!   FIFO, so identical runs produce identical traces.
 //! * [`Stats`] — named counters and scalar gauges used by every component to
 //!   report utilisation, hit rates and traffic.
 //! * [`BandwidthResource`] / [`LatencyBandwidthResource`] — queuing models
@@ -33,11 +34,11 @@
 //!
 //! let clk = ClockDomain::from_ghz(2.5);
 //! let mut q = EventQueue::new();
-//! q.schedule(SimTime::ZERO + clk.cycles(10), Ev::Ping);
-//! q.schedule(SimTime::ZERO + clk.cycles(4), Ev::Pong);
-//! let (t, ev) = q.pop().expect("event");
+//! q.schedule(SimTime::ZERO + clk.cycles(10), 0, Ev::Ping);
+//! q.schedule(SimTime::ZERO + clk.cycles(4), 0, Ev::Pong);
+//! let (key, ev) = q.pop().expect("event");
 //! assert_eq!(ev, Ev::Pong);
-//! assert_eq!(clk.cycles_at(t), 4);
+//! assert_eq!(clk.cycles_at(key.time), 4);
 //! ```
 
 pub mod events;
@@ -48,7 +49,7 @@ pub mod stats;
 pub mod time;
 pub mod timeline;
 
-pub use events::EventQueue;
+pub use events::{EventKey, EventQueue};
 pub use hash::{fold_fingerprint, FxBuildHasher, FxHashMap, FxHasher};
 pub use resource::{BandwidthResource, LatencyBandwidthResource, ThroughputMeter};
 pub use rng::SplitMix64;

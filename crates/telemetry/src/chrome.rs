@@ -19,8 +19,10 @@ use std::fmt::Write as _;
 
 use crate::trace::{Trace, ROUTER_TRACK, SCHED_ROW};
 
-/// Escapes a string for embedding in a JSON string literal.
-fn escape_json(s: &str, out: &mut String) {
+/// Appends `s` to `out` escaped for embedding in a JSON string literal:
+/// quotes, backslashes and control characters are escaped, everything
+/// else is copied as is.
+pub fn escape_json(s: &str, out: &mut String) {
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),

@@ -33,7 +33,7 @@ pub mod metrics;
 pub mod profile;
 pub mod trace;
 
-pub use chrome::{validate_chrome_json, ChromeSummary};
+pub use chrome::{escape_json, validate_chrome_json, ChromeSummary};
 pub use hist::Log2Histogram;
 pub use metrics::MetricSet;
 pub use profile::PhaseProfile;
